@@ -115,6 +115,21 @@ func assertMachinesEqual(t *testing.T, name string, naive, event *machine.Machin
 	}
 }
 
+// assertClockAccounting checks Run's cycle identity: slow ticks,
+// fast-forwarded cycles, and epoch-committed cycles partition the run,
+// and no more epochs fail than are attempted.
+func assertClockAccounting(t *testing.T, m *machine.Machine, cycles int64) {
+	t.Helper()
+	cs := m.Clock()
+	if cs.SlowTicks+cs.SkippedCycles+cs.EpochCycles != cycles {
+		t.Errorf("clock accounting broken: %d slow + %d skipped + %d epoch != %d cycles (%+v)",
+			cs.SlowTicks, cs.SkippedCycles, cs.EpochCycles, cycles, cs)
+	}
+	if cs.EpochFails > cs.Epochs {
+		t.Errorf("more epoch failures than attempts: %+v", cs)
+	}
+}
+
 func buildKernelMachine(t *testing.T, bench string, opts kernels.Options, cfg machine.Config) (*kernels.Kernel, *machine.Machine) {
 	t.Helper()
 	k, err := kernels.Build(bench, opts)
@@ -171,9 +186,7 @@ func TestClockEquivalenceKernels(t *testing.T) {
 							t.Errorf("%s: event-driven result failed verification: %v", name, err)
 						}
 					}
-					if cs := mE.Clock(); cs.SlowTicks+cs.SkippedCycles != ec {
-						t.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles", name, cs.SlowTicks, cs.SkippedCycles, ec)
-					}
+					assertClockAccounting(t, mE, ec)
 				})
 			}
 		}
@@ -252,10 +265,8 @@ func TestClockSpinForwardDepth3(t *testing.T) {
 					t.Fatalf("event-driven run: %v", err)
 				}
 				assertMachinesEqual(t, name, mN, mE, nc, ec)
+				assertClockAccounting(t, mE, ec)
 				cs := mE.Clock()
-				if cs.SlowTicks+cs.SkippedCycles != ec {
-					t.Errorf("clock accounting broken: %d slow + %d skipped != %d cycles", cs.SlowTicks, cs.SkippedCycles, ec)
-				}
 				if cs.SpinJumps > cs.Jumps || cs.SpinSkippedCycles > cs.SkippedCycles {
 					t.Errorf("spin accounting exceeds totals: %+v", cs)
 				}
@@ -445,10 +456,8 @@ func TestClockFastForwardEngages(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	assertClockAccounting(t, m, cycles)
 	cs := m.Clock()
-	if cs.SlowTicks+cs.SkippedCycles != cycles {
-		t.Fatalf("clock accounting broken: %+v vs %d cycles", cs, cycles)
-	}
 	if frac := float64(cs.SkippedCycles) / float64(cycles); frac < 0.5 {
 		t.Fatalf("fast-forward covered only %.1f%% of %d cycles (%+v); want > 50%%", 100*frac, cycles, cs)
 	}

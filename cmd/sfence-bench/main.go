@@ -51,7 +51,7 @@ func main() {
 		server     = flag.String("server", "", "run experiments on the sfence-serve instance at this base URL instead of locally (output is the JSON envelope)")
 		tenant     = flag.String("tenant", "", "tenant label sent with -server requests (X-Tenant header)")
 		parallel   = flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
-		workers    = flag.Int("workers", 0, "machine worker threads per simulation (0 = GOMAXPROCS left over by -parallel; 1 = sequential)")
+		workers    = flag.Int("workers", 0, "goroutines stepping cores inside each simulation's epochs (0 = GOMAXPROCS left over by -parallel); changes only wall time")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)

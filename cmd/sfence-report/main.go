@@ -39,7 +39,7 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable the run cache")
 		progress   = flag.Bool("progress", true, "report per-experiment progress on stderr")
 		parallel   = flag.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS)")
-		workers    = flag.Int("workers", 0, "machine worker threads per simulation (0 = GOMAXPROCS left over by -parallel; 1 = sequential)")
+		workers    = flag.Int("workers", 0, "goroutines stepping cores inside each simulation's epochs (0 = GOMAXPROCS left over by -parallel); changes only wall time")
 		simperf    = flag.Bool("simperf", false, "also measure the simulator itself (naive vs. event-driven clock) and write BENCH_SIMPERF.json; wall-clock based, so not byte-deterministic")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -163,7 +163,7 @@ func main() {
 		}
 		for _, r := range rep.Rows {
 			if r.Workers > 0 {
-				fmt.Fprintf(os.Stderr, "simperf: %-12s %d cores, workers=%d  %9d cycles  seq %6.1fms  par %6.1fms  %6.2fx\n",
+				fmt.Fprintf(os.Stderr, "simperf: %-12s %d cores, workers=%d  %9d cycles  w1 %6.1fms  wN %6.1fms  %6.2fx thread gain\n",
 					r.Bench, r.Cores, r.Workers, r.SimCycles,
 					float64(r.SeqNs)/1e6, float64(r.EventNs)/1e6, r.ParSpeedup)
 				continue

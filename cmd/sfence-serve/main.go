@@ -88,7 +88,9 @@ func main() {
 		MaxJobTimeout: *jobTimeout,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout stops a client that trickles its headers from
+	// holding a connection open forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)

@@ -55,7 +55,7 @@ func main() {
 		stats     = flag.Bool("stats", false, "print the full hierarchical stats snapshot (every registered counter)")
 		statsJSON = flag.Bool("stats-json", false, "emit the stats snapshot as JSON on stdout (implies quiet summary)")
 		timeout   = flag.Duration("timeout", 0, "abort the simulation after this wall-clock duration (0 = no limit)")
-		workers   = flag.Int("workers", 0, "machine worker threads for the epoch-barriered parallel runner (0 = GOMAXPROCS; 1 = sequential; results are bit-identical either way)")
+		workers   = flag.Int("workers", 0, "goroutines stepping cores inside each epoch (0 = GOMAXPROCS); changes only wall time, never results")
 		genSeed   = flag.Int64("gen", 0, "replay the generated fuzz scenario with this seed through the full differential check (ignores -bench)")
 		genDump   = flag.String("gen-dump", "", "with -gen: print the named fence variant's disassembly (traditional | class | set) instead of checking")
 		scopeGate = flag.Bool("scopecheck", false, "statically verify fence scopes: all kernels, all litmus families, and the committed fuzz corpus (ignores -bench)")

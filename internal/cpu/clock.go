@@ -152,7 +152,7 @@ func (c *Core) FastForward(delta int64) {
 	// This is why an Observer — unlike a Tracer — never pins the slow
 	// path.
 	if c.observer != nil && a.fenceTraces > 0 {
-		c.observer.Observe(c.id, uint8(TraceFenceStall), uint64(a.fenceTraces)*d)
+		c.observe(TraceFenceStall, uint64(a.fenceTraces)*d)
 		if c.spin.phase == spinArmed {
 			// An armed spin window can contain fast-forwarded quiescent
 			// spans; their bulk-credited events belong to the window tally

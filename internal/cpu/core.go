@@ -177,9 +177,12 @@ type Core struct {
 	// hierarchy access must be a private-L1 hit; the first that is not
 	// latches epochBlocked instead of executing, and undoLog records the
 	// Image words overwritten in-epoch so an abort can restore them.
+	// obsPending holds the observer events raised in-epoch: EpochCommit
+	// delivers them, EpochAbort drops them.
 	localOnly    bool
 	epochBlocked bool
 	undoLog      []imgUndo
+	obsPending   [numTraceEvents]uint64
 
 	fenceStallSeen bool // one fence-stall count per cycle
 	robFullSeen    bool

@@ -5,7 +5,7 @@ import (
 	"sfence/internal/memsys"
 )
 
-// Parallel-epoch support. The machine's parallel runner executes each
+// Parallel-epoch support. The machine's epoch driver executes each
 // core independently from a common start cycle T to a horizon E, under
 // one rule: every cache access must be a private-L1 hit (reads in any
 // valid state, writes only in M or E — see memsys.Hierarchy.LocalHit).
@@ -33,6 +33,11 @@ import (
 //     hit its own L1), so only the watch-overflow pessimism is lost —
 //     clock policy, not architecture.
 //   - OnDisturb never fires: no in-epoch access reaches the directory.
+//
+// Observer events are core-local but would reach a shared sink from a
+// worker goroutine, and an aborted epoch must not count. They collect in
+// obsPending while localOnly is set; EpochCommit delivers them and
+// EpochAbort drops them.
 //
 // Pre-epoch in-flight writes (issued store-buffer entries and executing
 // CAS entries, which paid their hierarchy access before the epoch
@@ -104,8 +109,7 @@ type EpochState struct {
 	profile map[int]FenceSite
 	cycle   int64
 
-	spinJumps   uint64
-	spinSkipped uint64
+	spin spinTrack
 
 	fenceStallSeen bool
 	robFullSeen    bool
@@ -207,7 +211,7 @@ func (c *Core) EpochBegin(s *EpochState) {
 		s.profile[pc] = *site
 	}
 	s.cycle = c.cycle
-	s.spinJumps, s.spinSkipped = c.spin.jumps, c.spin.skipped
+	s.spin = c.spin.spinTrack
 	s.fenceStallSeen, s.robFullSeen, s.sbFullSeen = c.fenceStallSeen, c.robFullSeen, c.sbFullSeen
 
 	c.hier.SaveCore(c.id, &s.mem)
@@ -217,11 +221,19 @@ func (c *Core) EpochBegin(s *EpochState) {
 	c.undoLog = c.undoLog[:0]
 }
 
-// EpochCommit keeps the state the epoch computed and disarms the gate.
+// EpochCommit keeps the state the epoch computed, disarms the gate, and
+// delivers the observer events the epoch held back. The machine calls it
+// from its driver goroutine, one core at a time.
 func (c *Core) EpochCommit() {
 	c.localOnly = false
 	c.epochBlocked = false
 	c.undoLog = c.undoLog[:0]
+	for ev, n := range c.obsPending {
+		if n > 0 {
+			c.observer.Observe(c.id, uint8(ev), n)
+		}
+	}
+	c.obsPending = [numTraceEvents]uint64{}
 }
 
 // EpochAbort rewinds the core to the EpochBegin checkpoint: Image words
@@ -229,9 +241,12 @@ func (c *Core) EpochCommit() {
 // every core field is restored in place (the stats registry holds
 // pointers into c.stats, so the struct must not move), fence-profile
 // sites created in-epoch are deleted and surviving ones restored by
-// value (spin-delta and accrual pointers reference the survivors), and
-// the spin detector is reset — re-arming from scratch is always sound,
-// and only clock policy, never architecture, depends on it.
+// value (spin-delta and accrual pointers reference the survivors), the
+// held-back observer events are dropped, and the spin detector restarts
+// from its checkpointed baselines — re-arming from scratch is always
+// sound, only clock policy, never architecture, depends on it, and the
+// restored baselines keep that policy independent of how far the core
+// got before the abort (so of the worker count).
 func (c *Core) EpochAbort(s *EpochState) {
 	for i := len(c.undoLog) - 1; i >= 0; i-- {
 		c.img.Store(c.undoLog[i].addr, c.undoLog[i].old)
@@ -239,6 +254,7 @@ func (c *Core) EpochAbort(s *EpochState) {
 	c.undoLog = c.undoLog[:0]
 	c.localOnly = false
 	c.epochBlocked = false
+	c.obsPending = [numTraceEvents]uint64{}
 
 	c.regs = s.regs
 	c.regTag = s.regTag
@@ -298,8 +314,8 @@ func (c *Core) EpochAbort(s *EpochState) {
 
 	c.hier.RestoreCore(c.id, &s.mem)
 
+	c.spin.spinTrack = s.spin
 	c.spinReset()
-	c.spin.jumps, c.spin.skipped = s.spinJumps, s.spinSkipped
 }
 
 // EpochBlocked reports whether the core hit the local-only gate since
@@ -307,12 +323,6 @@ func (c *Core) EpochAbort(s *EpochState) {
 // a dummy (untaken) access, so its state is garbage — the machine must
 // abort the epoch for every core.
 func (c *Core) EpochBlocked() bool { return c.epochBlocked }
-
-// Observed reports whether a counter-only stats observer is attached.
-// Observers are exact under fast-forward but the parallel runner
-// declines epochs on observed machines (observer callbacks are not
-// required to be goroutine-safe).
-func (c *Core) Observed() bool { return c.observer != nil }
 
 // ForEachPendingGlobalWrite visits every write that already paid its
 // hierarchy access and will therefore complete unconditionally — issued

@@ -83,24 +83,13 @@ type spinSiteDelta struct {
 
 // spinState is the per-core detector.
 type spinState struct {
+	spinTrack
+
 	phase    uint8
 	stable   int64 // consecutive unperturbed ticks
-	cooldown int64 // extra stable ticks required before the next arm
 	rearms   int   // consecutive expired windows re-anchored in place
 	armTicks int64 // observed ticks since the anchor was captured
 
-	// events counts core-local perturbations (squash, snoop batch, store
-	// drain, CAS commit); the seen* fields are the values at the last
-	// spinObserve, so any advance is detected exactly once.
-	events     uint64
-	seenEvents uint64
-	seenMem    uint64 // memsys.CoreVersion at last observe
-	seenPred   uint64 // predictor version at last observe
-
-	// lastOcc/occStable track how long the ROB occupancy has been
-	// constant; anchors are only captured against a settled pipeline.
-	lastOcc   uint64
-	occStable int64
 	growTicks int64 // consecutive armed ticks with occupancy above the anchor
 
 	anchorAt  int64
@@ -116,7 +105,7 @@ type spinState struct {
 	statsAt Stats
 	memAt   memsys.CoreStats
 	profAt  map[int]FenceSite
-	evAt    [8]uint64 // observer events emitted while armed
+	evAt    [numTraceEvents]uint64 // observer events emitted while armed
 
 	// watch is the set of Image addresses the orbit reads from memory; a
 	// remote store to one of them perturbs the spin even when it causes
@@ -130,7 +119,28 @@ type spinState struct {
 	dStats  Stats
 	dMem    memsys.CoreStats
 	dSites  []spinSiteDelta
-	dEvents [8]uint64
+	dEvents [numTraceEvents]uint64
+}
+
+// spinTrack is the part of the detector that spinReset keeps: the
+// perturbation baselines and backoff the idle phase reads, and the jump
+// tallies. An epoch checkpoint saves exactly this, so an aborted epoch
+// leaves the detector in the same state however far the core ran.
+type spinTrack struct {
+	cooldown int64 // extra stable ticks required before the next arm
+
+	// events counts core-local perturbations (squash, snoop batch, store
+	// drain, CAS commit); the seen* fields are the values at the last
+	// spinObserve, so any advance is detected exactly once.
+	events     uint64
+	seenEvents uint64
+	seenMem    uint64 // memsys.CoreVersion at last observe
+	seenPred   uint64 // predictor version at last observe
+
+	// lastOcc/occStable track how long the ROB occupancy has been
+	// constant; anchors are only captured against a settled pipeline.
+	lastOcc   uint64
+	occStable int64
 
 	jumps   uint64
 	skipped uint64
@@ -421,7 +431,7 @@ func (s *spinState) spinArm(c *Core) {
 	for pc, site := range c.profile.sites {
 		s.profAt[pc] = *site
 	}
-	s.evAt = [8]uint64{}
+	s.evAt = [numTraceEvents]uint64{}
 	s.watch = s.watch[:0]
 	s.watchOverflow = false
 }
@@ -507,7 +517,7 @@ func (c *Core) SpinForward(delta int64) {
 	if c.observer != nil {
 		for ev, n := range s.dEvents {
 			if n > 0 {
-				c.observer.Observe(c.id, uint8(ev), n*k)
+				c.observe(TraceEvent(ev), n*k)
 			}
 		}
 	}

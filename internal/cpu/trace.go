@@ -18,6 +18,8 @@ const (
 	TraceFenceStall                   // issue or retire blocked by a fence
 	TraceSBIssue                      // store left the SB for memory (detail: readyAt)
 	TraceSBComplete                   // store became globally visible (detail: address)
+
+	numTraceEvents = iota
 )
 
 func (e TraceEvent) String() string {
@@ -62,15 +64,28 @@ func (c *Core) SetTracer(t Tracer) {
 // detail — which is exactly what keeps it compatible with the two-speed
 // clock: the machine keeps fast-forwarding with an observer attached, and
 // FastForward credits skipped stall-cycle events in bulk (see clock.go).
+// Inside a parallel epoch the events are held back and delivered by
+// EpochCommit on the machine's driver goroutine, so the observer is never
+// called concurrently by one machine and never sees an aborted epoch.
 // Attaching an observer never changes simulation results.
 func (c *Core) SetObserver(o stats.Observer) {
 	c.observer = o
 	c.spinReset() // event bookkeeping baseline changed; re-detect
 }
 
+// observe reports n occurrences of ev to the attached observer, or
+// buffers them while an epoch is open.
+func (c *Core) observe(ev TraceEvent, n uint64) {
+	if c.localOnly {
+		c.obsPending[ev] += n
+		return
+	}
+	c.observer.Observe(c.id, uint8(ev), n)
+}
+
 func (c *Core) trace(ev TraceEvent, seq uint64, in isa.Instruction, detail int64) {
 	if c.observer != nil {
-		c.observer.Observe(c.id, uint8(ev), 1)
+		c.observe(ev, 1)
 		if c.spin.phase == spinArmed {
 			// Tally the armed window's events so a confirmed spin can
 			// credit the observer per skipped period.

@@ -97,11 +97,11 @@ func NewSession(runner Runner, progress ProgressFunc, parallelism int) *Session 
 	return &Session{runner: runner, progress: progress, parallelism: parallelism}
 }
 
-// WithWorkers returns a session whose simulations default to the
-// epoch-barriered parallel machine runner with n worker threads.
-// Explicit cfg.Parallel settings in an experiment still win; results are
-// bit-identical at any worker count (the simulator asserts it), so this
-// only changes wall-clock time. n <= 1 keeps the sequential loop.
+// WithWorkers returns a session whose simulations default to n
+// goroutines stepping cores inside each machine's epochs (n <= 1 means
+// one). Explicit cfg.Parallel settings in an experiment still win;
+// results are bit-identical at any worker count (the simulator asserts
+// it), so this only changes wall-clock time.
 func (s *Session) WithWorkers(n int) *Session {
 	out := *s
 	out.workers = n

@@ -33,7 +33,7 @@ func init() {
 // tiny read-shared constant table, and alternates long phases of
 // LCG-indexed read-modify-write compute over that array with one
 // synchronization round. The compute phases are exactly the private-hit
-// traffic the parallel runner's optimistic epochs commit; the per-round
+// traffic the epoch driver's optimistic epochs commit; the per-round
 // synchronization is the rare cross-core interaction that aborts back to
 // the sequential loop. The read-shared table gives every line a
 // full-machine sharer set, which at 65+ threads exercises the
@@ -49,12 +49,12 @@ func init() {
 // slots and then releases a shared flag, and everyone else spins on the
 // flag. While the straggler finishes its solo tail the other cores sit
 // in confirmed spin loops on locally cached lines: the sequential
-// two-speed clock cannot jump (one core is still active) and pays a
-// full tick per spinning core per cycle, whereas the parallel runner's
-// epochs fast-forward each spinner independently. That asymmetry is the
-// workload's point — it is the barrier-tail pattern wide machines
-// actually exhibit, and it is where the epoch core's wall-clock win
-// lives.
+// two-speed loop cannot jump (one core is still active) and would pay a
+// full tick per spinning core per cycle, whereas inside an epoch each
+// spinner fast-forwards independently. That asymmetry is the workload's
+// point — it is the barrier-tail pattern wide machines actually exhibit.
+// Every Run takes the epoch path, at any worker count, so the gain is
+// algorithmic; extra workers add only the thread gain on top.
 const (
 	scaleArrWords   = 256 // 2 KiB private array (32 lines)
 	scaleTableWords = 64  // read-shared constant table (8 lines)

@@ -11,11 +11,17 @@
 // StatsSnapshot evaluates all of it into one deterministically ordered
 // snapshot.
 //
-// Run is a two-speed event-driven loop: per-cycle stepping while any
-// core makes progress, and a fast-forward jump to the earliest per-core
-// wakeup when every core is quiescent, with skipped cycles credited so
-// results stay bit-identical to naive stepping (see DESIGN.md, "The
-// two-speed event-driven clock").
+// Run drives every untraced machine through one epoch driver:
+// optimistic epochs, in which each core advances on its own clock while
+// its accesses stay private-L1 hits, glued together by a sequential
+// two-speed loop (per-cycle stepping while any core makes progress, a
+// fast-forward jump to the earliest per-core wakeup when every core is
+// quiescent). Skipped and epoch-committed cycles are credited so results
+// stay bit-identical to naive stepping, and Config.Parallel.Workers only
+// sets how many goroutines step the cores inside an epoch (see DESIGN.md,
+// "The two-speed event-driven clock" and "The parallel epoch-barriered
+// simulator core"). A traced machine steps every cycle on the sequential
+// loop.
 package machine
 
 import (
@@ -37,17 +43,16 @@ type Config struct {
 	// MaxCycles aborts Run when exceeded (0 means the DefaultMaxCycles
 	// safety net).
 	MaxCycles int64
-	// Parallel configures the optimistic-epoch parallel runner. The
-	// zero value (Workers 0) and Workers 1 select the sequential
-	// two-speed loop; results are bit-identical either way.
+	// Parallel sets the thread count of Run's epoch driver. It never
+	// changes which algorithm runs, nor any result.
 	Parallel ParallelConfig
 }
 
-// ParallelConfig selects how many OS threads step cores inside the
-// optimistic epochs of Run's parallel mode (see runParallel). Workers
-// only changes wall-clock time: snapshots, registers, memory, and every
-// registered statistic outside machine.clock.* are bit-identical for
-// any worker count.
+// ParallelConfig sets how many goroutines step cores inside the
+// optimistic epochs of Run (see runParallel); 0 and 1 both mean one.
+// Workers only changes wall-clock time: snapshots — machine.clock.*
+// included — registers, and memory are bit-identical for any worker
+// count.
 type ParallelConfig struct {
 	Workers int
 }
@@ -114,7 +119,7 @@ type Machine struct {
 // reads as "pinned", not "never idle". Counter-only observers (see
 // cpu.Core.SetObserver) do not pin the clock and never set the flag.
 //
-// The parallel runner adds its own accounting: Epochs counts attempted
+// The epoch driver adds its own accounting: Epochs counts attempted
 // optimistic epochs, EpochFails the ones that aborted and were re-run
 // sequentially, and EpochCycles the machine cycles committed by
 // successful epochs. SlowTicks+SkippedCycles+EpochCycles equals the
@@ -389,15 +394,18 @@ const ctxCheckInterval = 4096
 // context.WithCancel mid-cycle-loop); the machine is left at the cycle it
 // reached and is safe to inspect, but not to resume.
 //
-// Run is a two-speed, event-driven loop: while any core is active the
-// machine ticks cycle by cycle, but when every core is quiescent —
-// waiting on cache misses, store-buffer drains, or redirect bubbles — the
-// clock jumps straight to the earliest per-core wakeup, crediting the
-// skipped cycles to each core's stall accounting exactly as per-cycle
-// stepping would have. The per-cycle timing model is untouched: results
-// and statistics are bit-identical to naive stepping (asserted by
-// TestClockEquivalence). Attaching a tracer pins the slow path, because
-// tracers observe per-cycle events.
+// Run sends every untraced machine, observed ones included, through the
+// epoch driver (runParallel): optimistic epochs in which each core runs
+// its own two-speed loop, and between them the sequential two-speed loop
+// (runSeq), which ticks cycle by cycle while any core is active and,
+// when every core is quiescent — waiting on cache misses, store-buffer
+// drains, or redirect bubbles — jumps straight to the earliest per-core
+// wakeup, crediting the skipped cycles to each core's stall accounting
+// exactly as per-cycle stepping would have. The per-cycle timing model
+// is untouched: results and statistics are bit-identical to naive
+// stepping (asserted by TestClockEquivalence), and Config.Parallel.Workers
+// changes only wall time. Attaching a tracer pins the sequential loop's
+// slow path, because tracers observe per-cycle events.
 func (m *Machine) Run(ctx context.Context) (int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -418,22 +426,22 @@ func (m *Machine) Run(ctx context.Context) (int64, error) {
 	if err := m.Fault(); err != nil {
 		return m.cycle, err
 	}
-	if m.cfg.Parallel.Workers > 1 {
-		return m.runParallel(ctx, limit)
+	if m.traced() {
+		_, err := m.runSeq(ctx, limit, limit)
+		return m.cycle, err
 	}
-	_, err := m.runSeq(ctx, limit, limit)
-	return m.cycle, err
+	return m.runParallel(ctx, limit)
 }
 
 // runSeq is the sequential two-speed loop: it executes while m.cycle <
 // until, returning (true, nil) when every core finished, (false, err)
 // on a fault, an exhausted cycle budget, or cancellation, and (false,
 // nil) when until was reached first. Run calls it with until == limit
-// (the budget error fires before the until return, preserving the
-// historical behaviour); the parallel runner uses bounded legs between
-// epoch attempts.
+// for a traced machine (the budget error fires before the until return);
+// the epoch driver uses bounded legs between epoch attempts.
 func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) {
 	done := ctx.Done()
+	traced := m.traced()
 	untilCheck := ctxCheckInterval
 	for {
 		if untilCheck--; untilCheck <= 0 {
@@ -460,7 +468,7 @@ func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) 
 		if active {
 			continue
 		}
-		if m.traced() {
+		if traced {
 			// Record explicitly that fast-forwarding is disabled, so a
 			// traced run's Clock() reads "pinned" instead of silently
 			// showing zero jumps. Counter-only observers do not pin.

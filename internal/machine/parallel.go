@@ -2,23 +2,25 @@ package machine
 
 import (
 	"context"
-	"os"
 	"sync"
 	"sync/atomic"
 
 	"sfence/internal/cpu"
 )
 
-// Optimistic-epoch parallel runner.
+// Optimistic-epoch driver.
 //
 // The sequential loop interleaves all cores cycle by cycle because any
 // core might interact with any other at any cycle. In practice the
 // interesting workloads spend most cycles in private-L1-resident
-// compute, where cores are mutually invisible. The parallel runner
+// compute, where cores are mutually invisible. The epoch driver
 // exploits that: it picks a horizon E, checkpoints every core
 // (cpu.EpochState + the core's slice of the hierarchy), and lets worker
-// threads step disjoint core subsets independently from T to E under
-// the local-only access gate (cpu's epoch support). Two outcomes:
+// goroutines step disjoint core subsets independently from T to E under
+// the local-only access gate (cpu's epoch support). Each core runs its
+// own two-speed loop there, so an idle core skips ahead even while
+// another core is busy — the sequential loop can only jump when every
+// core is idle. Two outcomes:
 //
 //   - No core hit the gate: the epoch is exactly what per-cycle
 //     stepping would have produced — every access was a private hit,
@@ -40,14 +42,18 @@ import (
 //   - Loads that speculatively executed past a fence may need a replay
 //     triggered by a remote store at a precise cycle; any in flight
 //     veto the attempt entirely (they are transient).
-//   - Tracers and observers receive interleaved per-event callbacks;
-//     machines carrying either run sequentially, as before.
+//
+// Counter-only observers ride along: each core holds its in-epoch
+// observer events back and delivers them when the epoch commits (see
+// cpu.Core.EpochCommit). Tracers want per-cycle callbacks in global
+// cycle order, so Run keeps traced machines off this driver.
 //
 // Determinism: an epoch either commits bit-identically to sequential
-// stepping or vanishes without trace, so the worker count — and the
-// scheduling of worker threads — cannot leak into results. Only the
-// machine.clock.* accounting (epochs, fails, committed cycles) tells
-// the modes apart.
+// stepping or vanishes without trace. Every decision below — horizon,
+// slice bounds, the earliest block cycle, the backoff — is a function
+// of simulated state only, so the worker count and the scheduling of
+// the worker goroutines cannot leak into anything, machine.clock.*
+// included.
 const (
 	// epochMin is the smallest horizon worth a checkpoint; hazard-clamped
 	// attempts below it burst sequentially instead.
@@ -69,8 +75,6 @@ const (
 	epochMarkInterval = 64
 )
 
-var epochDebug = os.Getenv("SFENCE_EPOCH_DEBUG") != ""
-
 // epochResult is one core's outcome for one epoch attempt.
 type epochResult struct {
 	wasDone   bool  // already finished when the epoch began (not checkpointed)
@@ -89,18 +93,12 @@ type coreCursor struct {
 	res      epochResult
 }
 
-// runParallel drives Run when cfg.Parallel.Workers > 1: sequential legs
-// glued by optimistic epochs. Entry conditions match runSeq's (no
-// fault, not done, ctx live).
+// runParallel is Run's epoch driver for every untraced machine:
+// sequential legs glued by optimistic epochs, stepped by
+// cfg.Parallel.Workers goroutines (at least one, at most one per core).
+// Entry conditions match runSeq's (no fault, not done, ctx live).
 func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
-	workers := m.cfg.Parallel.Workers
-	if workers > len(m.cores) {
-		workers = len(m.cores)
-	}
-	if workers < 2 || m.traced() || m.observed() {
-		_, err := m.runSeq(ctx, limit, limit)
-		return m.cycle, err
-	}
+	workers := max(1, min(m.cfg.Parallel.Workers, len(m.cores)))
 	states := make([]cpu.EpochState, len(m.cores))
 	cursors := make([]coreCursor, len(m.cores))
 	epochLen := int64(epochStart)
@@ -151,7 +149,10 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 		// work wasted on a doomed epoch to roughly one slice per core —
 		// in particular on few-CPU hosts, where a worker goroutine could
 		// otherwise finish its whole share before the goroutine holding
-		// the earliest blocker ever got scheduled.
+		// the earliest blocker ever got scheduled. Every unfinished core
+		// is checkpointed in the first slice, even on a doomed attempt,
+		// so an abort restores every core alike whichever worker got how
+		// far.
 		var abortMark atomic.Int64
 		abortMark.Store(E)
 		var wg sync.WaitGroup
@@ -160,11 +161,6 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 			go func(w int) {
 				defer wg.Done()
 				for lo := T; lo < E; lo += epochSlice {
-					if abortMark.Load() <= lo {
-						// Every live core this worker owns has advanced to at
-						// least lo, at or past the earliest block: stop.
-						break
-					}
 					hi := min(lo+epochSlice, E)
 					live := false
 					for i := w; i < len(m.cores); i += workers {
@@ -184,16 +180,7 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 		allDone := true
 		maxDone := int64(-1)
 		for i := range cursors {
-			cc := &cursors[i]
-			if !cc.begun && !cc.finished {
-				// Never started: its worker stopped before the core's first
-				// slice, which only happens on a doomed attempt. Nothing to
-				// restore, and its (unknown) block point cannot lower the
-				// minimum below the watermark that stopped the worker.
-				allDone = false
-				continue
-			}
-			r := &cc.res
+			r := &cursors[i].res
 			if r.wasDone {
 				continue
 			}
@@ -221,9 +208,6 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 				cursors[i] = coreCursor{}
 			}
 			m.clock.EpochFails++
-			if epochDebug {
-				println("epoch abort: T=", T, "E=", E, "blockedAt=", blockedAt)
-			}
 			if gap := blockedAt - T; gap >= 2*epochMin {
 				// Long purely-local prefix. Before the earliest blockedAt
 				// every core ran purely locally, and per-core epoch
@@ -276,18 +260,6 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 		}
 		knownBlock = -1
 	}
-}
-
-// observed reports whether any core has a counter-only observer
-// attached (observer callbacks are not required to be goroutine-safe,
-// so observed machines stay sequential).
-func (m *Machine) observed() bool {
-	for _, c := range m.cores {
-		if c.Observed() {
-			return true
-		}
-	}
-	return false
 }
 
 // epochSafe reports the transient epoch precondition: no load anywhere

@@ -21,21 +21,20 @@ const concOracleMaxSteps = 4_000_000
 // livelock inside the fuzzer fails in seconds, not minutes.
 const concMaxCycles = 50_000_000
 
-// concWorkerCounts are the parallel worker counts every scenario is
-// additionally run under; each must be bit-identical to the sequential
-// event-driven run.
+// concWorkerCounts are the worker counts every scenario is additionally
+// run under; each must be bit-identical to the Workers 1 run, clock
+// accounting included.
 var concWorkerCounts = []int{2, 4}
 
 // ConcRun records one (variant, depth, workers) machine execution of a
-// scenario. Workers is 1 for the sequential event-driven run.
+// scenario. Workers 1 is the reference event-driven run.
 type ConcRun struct {
 	Variant Variant
 	Depth   int
 	Workers int
 	Cycles  int64
 	// Clock accounting of the event-driven run (the naive run is pure
-	// slow ticks by definition); EpochCycles is nonzero only for
-	// parallel runs.
+	// slow ticks by definition).
 	SlowTicks     int64
 	SkippedCycles int64
 	EpochCycles   int64
@@ -156,6 +155,20 @@ func bitIdentical(label string, naive, event *machine.Machine, nc, ec int64) err
 	return nil
 }
 
+// checkClock checks a Run's clock accounting: slow ticks, fast-forwarded
+// cycles, and epoch-committed cycles partition the run, and no more
+// epochs fail than are attempted.
+func checkClock(label string, cs machine.ClockStats, cycles int64) error {
+	if cs.SlowTicks+cs.SkippedCycles+cs.EpochCycles != cycles {
+		return fmt.Errorf("%s: clock accounting broken: %d slow + %d skipped + %d epoch != %d cycles",
+			label, cs.SlowTicks, cs.SkippedCycles, cs.EpochCycles, cycles)
+	}
+	if cs.EpochFails > cs.Epochs {
+		return fmt.Errorf("%s: more epoch failures (%d) than attempts (%d)", label, cs.EpochFails, cs.Epochs)
+	}
+	return nil
+}
+
 // checkAgainstOracle compares the checked projection of a finished
 // machine run against the oracle's: per-thread data registers R1-R12 and
 // every word of the scenario's shared-memory footprint. Scratch registers
@@ -267,18 +280,17 @@ func CheckConcurrent(seed int64, depths []int) (*ConcReport, error) {
 				return rep, err
 			}
 			cs := mE.Clock()
-			if cs.SlowTicks+cs.SkippedCycles != ec {
-				return rep, fmt.Errorf("%s: clock accounting broken: %d slow + %d skipped != %d cycles",
-					label, cs.SlowTicks, cs.SkippedCycles, ec)
+			if err := checkClock(label, cs, ec); err != nil {
+				return rep, err
 			}
 			rep.Runs = append(rep.Runs, ConcRun{
 				Variant: v, Depth: depth, Workers: 1, Cycles: ec,
 				SlowTicks: cs.SlowTicks, SkippedCycles: cs.SkippedCycles,
+				EpochCycles: cs.EpochCycles,
 			})
-			// The optimistic-epoch parallel runner must reproduce the
-			// sequential run bit for bit at every worker count: epochs
-			// either commit exactly what per-cycle stepping would have
-			// produced, or abort without trace.
+			// The worker count sets only how many goroutines step the
+			// epochs: every other count must reproduce the Workers 1 run
+			// bit for bit, down to the clock accounting.
 			for _, w := range concWorkerCounts {
 				plabel := fmt.Sprintf("%s workers %d", label, w)
 				mP, err := newConcMachine(cp, v, low.prog, depth, w)
@@ -287,24 +299,18 @@ func CheckConcurrent(seed int64, depths []int) (*ConcReport, error) {
 				}
 				pc, err := mP.Run(context.Background())
 				if err != nil {
-					return rep, fmt.Errorf("%s: parallel run: %w", plabel, err)
+					return rep, fmt.Errorf("%s: run: %w", plabel, err)
 				}
 				if err := bitIdentical(plabel, mE, mP, ec, pc); err != nil {
 					return rep, err
 				}
-				ps := mP.Clock()
-				if ps.SlowTicks+ps.SkippedCycles+ps.EpochCycles != pc {
-					return rep, fmt.Errorf("%s: clock accounting broken: %d slow + %d skipped + %d epoch != %d cycles",
-						plabel, ps.SlowTicks, ps.SkippedCycles, ps.EpochCycles, pc)
-				}
-				if ps.EpochFails > ps.Epochs {
-					return rep, fmt.Errorf("%s: more epoch failures (%d) than attempts (%d)",
-						plabel, ps.EpochFails, ps.Epochs)
+				if ps := mP.Clock(); ps != cs {
+					return rep, fmt.Errorf("%s: clock accounting diverged from workers 1: %+v vs %+v", plabel, ps, cs)
 				}
 				rep.Runs = append(rep.Runs, ConcRun{
 					Variant: v, Depth: depth, Workers: w, Cycles: pc,
-					SlowTicks: ps.SlowTicks, SkippedCycles: ps.SkippedCycles,
-					EpochCycles: ps.EpochCycles,
+					SlowTicks: cs.SlowTicks, SkippedCycles: cs.SkippedCycles,
+					EpochCycles: cs.EpochCycles,
 				})
 			}
 		}

@@ -300,7 +300,7 @@ func LookupExperiment(id string) (ExperimentSpec, error) {
 }
 
 // renderSimPerf formats the simulator-performance report: the clock
-// comparison first, then the parallel-runner rows (if any).
+// comparison first, then the worker-count rows (if any).
 func renderSimPerf(rep SimPerfReport) string {
 	var sb strings.Builder
 	sb.WriteString(simPerfTitle + "\n")
@@ -320,9 +320,9 @@ func renderSimPerf(rep SimPerfReport) string {
 			r.Bench, mode, r.SimCycles, r.NaiveCyclesPerSec, r.EventCyclesPerSec, r.Speedup))
 	}
 	if len(par) > 0 {
-		sb.WriteString("\nParallel runner — sequential vs epoch-barriered wall clock (bit-identical results)\n")
+		sb.WriteString("\nWorker count — Workers=1 vs N wall clock, same epoch driver (thread gain only; bit-identical results)\n")
 		sb.WriteString(fmt.Sprintf("%-14s%7s%9s%12s%12s%12s%9s%12s%8s\n",
-			"bench", "cores", "workers", "simcycles", "seq ms", "par ms", "speedup", "epochcyc", "fails"))
+			"bench", "cores", "workers", "simcycles", "w1 ms", "wN ms", "speedup", "epochcyc", "fails"))
 		for _, r := range par {
 			sb.WriteString(fmt.Sprintf("%-14s%7d%9d%12d%12.1f%12.1f%8.2fx%12d%8d\n",
 				r.Bench, r.Cores, r.Workers, r.SimCycles,

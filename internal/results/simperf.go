@@ -56,11 +56,13 @@ type SimPerfRow struct {
 	SpinJumps         int64 `json:"spinJumps"`
 	SpinSkippedCycles int64 `json:"spinSkippedCycles"`
 
-	// Parallel-runner block (rows with Workers > 1): the same machine run
-	// sequentially (Workers=1) and under the epoch-barriered parallel
-	// runner, bit-identity asserted before the timings are recorded. For
-	// these rows NaiveNs/EventNs and the clock accounting above describe
-	// the PARALLEL run; SeqNs is the sequential wall clock it is compared
+	// Worker-count block (rows with Workers > 1): the same machine run
+	// at Workers=1 and at Workers, bit-identity asserted before the
+	// timings are recorded. Both runs take the same epoch driver, so
+	// ParSpeedup (SeqNs over EventNs) is the thread gain only; the
+	// algorithmic gain of per-core skipping inside epochs is in both.
+	// For these rows EventNs and the clock accounting above describe the
+	// Workers run; SeqNs is the Workers=1 wall clock it is compared
 	// against.
 	Workers     int     `json:"workers,omitempty"`
 	Cores       int     `json:"cores,omitempty"`
@@ -270,19 +272,18 @@ func RunSimPerf(ctx context.Context, sc exp.Scale) (SimPerfReport, error) {
 	return rep, nil
 }
 
-// simPerfParCase is one parallel-runner comparison: a wide machine run
-// sequentially and with an epoch-barriered worker pool.
+// simPerfParCase is one worker-count comparison: a wide machine run at
+// Workers=1 and at workers.
 type simPerfParCase struct {
 	bench   string
 	cores   int
 	workers int
 }
 
-// simPerfParCases picks the parallel rows. The straggler kernel is the
-// representative multi-core-heavy workload: one slow thread keeps the
-// machine active while everyone else spins at the barrier, which is
-// exactly the shape the sequential clock cannot fast-forward (one active
-// core pins it) but per-core epochs can. The case list is deliberately
+// simPerfParCases picks the worker-count rows. The straggler kernel is
+// the representative multi-core-heavy workload: one slow thread keeps
+// the machine active while everyone else spins at the barrier, so the
+// epochs carry most of the run and spread across the workers. The case list is deliberately
 // scale-invariant: the CI simperf smoke compares a -quick run's row set
 // against the committed artifact, so every row must exist at both
 // scales (only the wall-clock numbers differ).
@@ -293,9 +294,9 @@ func simPerfParCases(sc exp.Scale) []simPerfParCase {
 	}
 }
 
-// runParallelPerf appends the parallel-runner rows: sequential vs
-// epoch-barriered wall clock on wide machines, with bit-identity
-// (cycles, aggregate core stats, kernel verification) asserted first.
+// runParallelPerf appends the worker-count rows: Workers=1 vs Workers=N
+// wall clock on wide machines, with bit-identity (cycles, aggregate core
+// stats, kernel verification) asserted first.
 func runParallelPerf(ctx context.Context, sc exp.Scale, rep *SimPerfReport) error {
 	for _, tc := range simPerfParCases(sc) {
 		opts := kernels.Options{Mode: kernels.Traditional, Threads: tc.cores, Ops: 2, Workload: 2}
@@ -317,7 +318,7 @@ func runParallelPerf(ctx context.Context, sc exp.Scale, rep *SimPerfReport) erro
 		seqCycles, err := mS.Run(ctx)
 		seqNs := time.Since(t0).Nanoseconds()
 		if err != nil {
-			return fmt.Errorf("results: simperf %s/%d (sequential): %w", tc.bench, tc.cores, err)
+			return fmt.Errorf("results: simperf %s/%d (workers=1): %w", tc.bench, tc.cores, err)
 		}
 		t0 = time.Now()
 		parCycles, err := mP.Run(ctx)
@@ -327,11 +328,11 @@ func runParallelPerf(ctx context.Context, sc exp.Scale, rep *SimPerfReport) erro
 		}
 
 		if seqCycles != parCycles {
-			return fmt.Errorf("results: simperf %s/%d: worker divergence: sequential %d cycles, workers=%d %d",
+			return fmt.Errorf("results: simperf %s/%d: worker divergence: workers=1 %d cycles, workers=%d %d",
 				tc.bench, tc.cores, seqCycles, tc.workers, parCycles)
 		}
 		if ss, sp := mS.TotalStats(), mP.TotalStats(); ss != sp {
-			return fmt.Errorf("results: simperf %s/%d: worker divergence in core stats:\nsequential %+v\nparallel %+v",
+			return fmt.Errorf("results: simperf %s/%d: worker divergence in core stats:\nworkers=1 %+v\nworkers=N %+v",
 				tc.bench, tc.cores, ss, sp)
 		}
 		if kS.Verify != nil {

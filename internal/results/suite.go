@@ -27,9 +27,10 @@ type SuiteOptions struct {
 	Progress exp.ProgressFunc
 	// Parallelism bounds the session's worker pool (0 = GOMAXPROCS).
 	Parallelism int
-	// Workers, when > 1, runs each simulation on the epoch-barriered
-	// parallel machine runner. Results are bit-identical at any worker
-	// count (and the cache key ignores it), so artifacts are unaffected.
+	// Workers sets how many goroutines step cores inside each
+	// simulation's epochs (<= 1 means one). Results are bit-identical at
+	// any worker count (and the cache key ignores it), so artifacts are
+	// unaffected.
 	Workers int
 }
 

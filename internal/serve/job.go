@@ -32,9 +32,9 @@ type JobRequest struct {
 	Experiment string `json:"experiment"`
 	// Scale is "quick" or "full"; empty uses the server default.
 	Scale string `json:"scale,omitempty"`
-	// Workers runs each simulation on the epoch-barriered parallel
-	// machine runner with this many worker threads (results are
-	// bit-identical at any width).
+	// Workers sets how many goroutines step cores inside each
+	// simulation's epochs (0 or 1 means one). It changes only wall
+	// time: results are bit-identical at any width.
 	Workers int `json:"workers,omitempty"`
 	// Parallelism bounds the job's simulation worker pool
 	// (0 = GOMAXPROCS).

@@ -16,7 +16,7 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs              submit  (202 + JobStatus; 503 when the queue is full or draining)
+//	POST   /v1/jobs              submit  (202 + JobStatus; 413 over maxRequestBytes; 503 when the queue is full or draining)
 //	GET    /v1/jobs/{id}         status
 //	DELETE /v1/jobs/{id}         cancel (propagates into the cycle loop)
 //	GET    /v1/jobs/{id}/events  NDJSON event stream until the job is terminal
@@ -29,6 +29,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -272,9 +273,18 @@ func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
 	return j
 }
 
+// maxRequestBytes bounds a job-submit body. A JobRequest is a handful of
+// short fields, so nothing near this size is a real one, and a hostile
+// client cannot make the decoder buffer more.
+const maxRequestBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}

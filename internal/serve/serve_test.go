@@ -181,6 +181,27 @@ func TestServeSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestServeSubmitBodyLimit posts a job body far over the submit limit:
+// the server must answer 413 without buffering it, and register no job.
+func TestServeSubmitBodyLimit(t *testing.T) {
+	srv, client := startServer(t, serve.Options{Scale: exp.Quick})
+	body := `{"experiment": "table4", "scale": "` + strings.Repeat("x", 1<<20) + `"}`
+	resp, err := http.Post(client.BaseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize submit: HTTP %d, want 413", resp.StatusCode)
+	}
+	if n := srv.StatsRegistry().Snapshot().Value("serve.jobs.submitted"); n != 0 {
+		t.Errorf("oversize submit left serve.jobs.submitted = %d, want 0", n)
+	}
+	if _, err := client.Status(context.Background(), "j1"); err == nil || !strings.Contains(err.Error(), "unknown job") {
+		t.Errorf("oversize submit left a job behind: status j1 = %v", err)
+	}
+}
+
 // TestServeEventStream follows one cold-cache job end to end and checks
 // the stream's shape: queued, then running, monotonic progress with live
 // simulated-cycle throughput, and a terminal done event.

@@ -60,11 +60,12 @@ func WithProgress(p ExperimentProgress) LabOption { return func(l *Lab) { l.prog
 // cannot change any result — only wall-clock time.
 func WithParallelism(n int) LabOption { return func(l *Lab) { l.parallelism = n } }
 
-// WithWorkers runs each simulation on the epoch-barriered parallel
-// machine runner with n worker threads (n <= 1 keeps the sequential
-// loop; experiments that set cfg.Parallel explicitly still win). The
-// parallel runner is bit-identical to the sequential one, so this —
-// like WithParallelism — only changes wall-clock time. The two compose:
+// WithWorkers sets the number of goroutines that step cores inside each
+// simulation's epochs (n <= 1 means one; experiments that set
+// cfg.Parallel explicitly still win). Every run uses the same epoch
+// driver whatever n is, and results are bit-identical at any worker
+// count, so this — like WithParallelism — only changes wall-clock time.
+// The two compose:
 // Parallelism spreads independent simulations across the pool, Workers
 // parallelizes inside each wide machine, which pays off when a single
 // many-core simulation dominates the schedule.

@@ -1,18 +1,19 @@
-// Differential test of the optimistic-epoch parallel runner: every
-// Table IV kernel and every litmus configuration is simulated with the
-// sequential two-speed clock (Workers=1, the reference) and with
-// Workers=2 and Workers=4, and the runs must be bit-identical — same
-// final cycle, same registers, same memory image, same full stats
-// registry outside machine.clock.*. This is the safety proof the
-// parallel core rests on: an epoch either commits exactly what
-// per-cycle stepping would have produced, or aborts without trace.
-// Run it under -race to also certify the epoch workers share nothing
-// they should not.
+// Differential test of the epoch driver's thread count: every Table IV
+// kernel and every litmus configuration is simulated with Workers=1
+// (the reference) and with Workers=2 and Workers=4, and the runs must be
+// bit-identical — same final cycle, same registers, same memory image,
+// same full stats registry, machine.clock.* included. Workers only sets
+// how many goroutines step the cores inside an epoch, and every epoch
+// decision is a function of simulated state, so not even the clock
+// accounting may depend on it. (The naive-vs-Run half of the contract is
+// clock_equivalence_test.go.) Run it under -race to also certify the
+// epoch workers share nothing they should not.
 package sfence_test
 
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sfence/internal/cpu"
@@ -21,10 +22,11 @@ import (
 	"sfence/internal/litmus"
 	"sfence/internal/machine"
 	"sfence/internal/memsys"
+	"sfence/internal/trace"
 )
 
 // parallelWorkerCounts are the worker counts differenced against the
-// sequential reference.
+// Workers=1 reference.
 var parallelWorkerCounts = []int{2, 4}
 
 // runWorkers builds and runs one kernel machine with the given worker
@@ -40,23 +42,26 @@ func runWorkers(t *testing.T, bench string, opts kernels.Options, cfg machine.Co
 	return m, cyc
 }
 
-// assertParallelClock checks the parallel runner's extended cycle
-// identity: slow ticks, fast-forwarded cycles, and epoch-committed
-// cycles partition the run.
-func assertParallelClock(t *testing.T, m *machine.Machine, cycles int64) {
+// assertWorkersEqual checks a run at some worker count against the
+// Workers=1 reference: every simulated observable equal, and the whole
+// stats snapshot identical — machine.clock.*, which mirrors every
+// Clock() field, included.
+func assertWorkersEqual(t *testing.T, name string, ref, par *machine.Machine, refCyc, parCyc int64) {
 	t.Helper()
-	cs := m.Clock()
-	if cs.SlowTicks+cs.SkippedCycles+cs.EpochCycles != cycles {
-		t.Errorf("clock accounting broken: %d slow + %d skipped + %d epoch != %d cycles (%+v)",
-			cs.SlowTicks, cs.SkippedCycles, cs.EpochCycles, cycles, cs)
-	}
-	if cs.EpochFails > cs.Epochs {
-		t.Errorf("more epoch failures than attempts: %+v", cs)
+	assertMachinesEqual(t, name, ref, par, refCyc, parCyc)
+	assertClockAccounting(t, par, parCyc)
+	sr, sp := ref.StatsSnapshot(), par.StatsSnapshot()
+	if !sr.Equal(sp) {
+		for i := range sr.Samples {
+			if i < len(sp.Samples) && sr.Samples[i] != sp.Samples[i] {
+				t.Errorf("%s: stat %s depends on the worker count: %+v vs %+v", name, sr.Samples[i].Name, sr.Samples[i], sp.Samples[i])
+			}
+		}
 	}
 }
 
-// TestParallelEquivalenceKernels differences Workers=2,4 against the
-// sequential runner for every Table IV kernel under traditional and
+// TestParallelEquivalenceKernels differences Workers=2,4 against
+// Workers=1 for every Table IV kernel under traditional and
 // scoped fences, with and without in-window speculation.
 func TestParallelEquivalenceKernels(t *testing.T) {
 	benches := []string{"dekker", "wsq", "msn", "harris", "barnes", "radiosity", "pst", "ptc", "nested-scope", "fence-drain"}
@@ -68,11 +73,10 @@ func TestParallelEquivalenceKernels(t *testing.T) {
 					opts := kernels.Options{Mode: mode, Ops: quickOps[bench], Workload: 2}
 					cfg := machine.DefaultConfig()
 					cfg.Core.InWindowSpec = spec
-					mSeq, seqCyc := runWorkers(t, bench, opts, cfg, 1)
+					mRef, refCyc := runWorkers(t, bench, opts, cfg, 1)
 					for _, w := range parallelWorkerCounts {
 						mPar, parCyc := runWorkers(t, bench, opts, cfg, w)
-						assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-						assertParallelClock(t, mPar, parCyc)
+						assertWorkersEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mRef, mPar, refCyc, parCyc)
 					}
 				})
 			}
@@ -92,11 +96,10 @@ func TestParallelEquivalenceDepth3(t *testing.T) {
 				opts := kernels.Options{Mode: mode, Ops: quickOps[bench], Workload: 2}
 				cfg := machine.DefaultConfig()
 				cfg.Mem = memsys.DepthConfig(3)
-				mSeq, seqCyc := runWorkers(t, bench, opts, cfg, 1)
+				mRef, refCyc := runWorkers(t, bench, opts, cfg, 1)
 				for _, w := range parallelWorkerCounts {
 					mPar, parCyc := runWorkers(t, bench, opts, cfg, w)
-					assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-					assertParallelClock(t, mPar, parCyc)
+					assertWorkersEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mRef, mPar, refCyc, parCyc)
 				}
 			})
 		}
@@ -153,11 +156,10 @@ func TestParallelEquivalenceLitmus(t *testing.T) {
 					}
 					return m, cyc
 				}
-				mSeq, seqCyc := run(1)
+				mRef, refCyc := run(1)
 				for _, w := range parallelWorkerCounts {
 					mPar, parCyc := run(w)
-					assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-					assertParallelClock(t, mPar, parCyc)
+					assertWorkersEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mRef, mPar, refCyc, parCyc)
 				}
 			})
 		}
@@ -169,7 +171,7 @@ func TestParallelEquivalenceLitmus(t *testing.T) {
 // bitmask) and 256 cores — and additionally requires that the epoch
 // machinery actually engaged: the scale kernels' long private compute
 // phases are exactly the traffic optimistic epochs exist to commit, so a
-// run that never commits an epoch means the parallel core silently
+// run that never commits an epoch means the epoch driver silently
 // degraded to sequential stepping.
 func TestParallelEquivalenceManyCore(t *testing.T) {
 	if testing.Short() {
@@ -191,11 +193,10 @@ func TestParallelEquivalenceManyCore(t *testing.T) {
 				opts := kernels.Options{Mode: mode, Threads: tc.cores, Ops: 2, Workload: tc.workload}
 				cfg := machine.DefaultConfig()
 				cfg.Cores = tc.cores
-				mSeq, seqCyc := runWorkers(t, tc.bench, opts, cfg, 1)
+				mRef, refCyc := runWorkers(t, tc.bench, opts, cfg, 1)
 				for _, w := range parallelWorkerCounts {
 					mPar, parCyc := runWorkers(t, tc.bench, opts, cfg, w)
-					assertMachinesEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mSeq, mPar, seqCyc, parCyc)
-					assertParallelClock(t, mPar, parCyc)
+					assertWorkersEqual(t, fmt.Sprintf("%s/workers=%d", name, w), mRef, mPar, refCyc, parCyc)
 					cs := mPar.Clock()
 					if cs.Epochs == cs.EpochFails {
 						t.Errorf("no epoch ever committed on %s (workers=%d): %+v", name, w, cs)
@@ -208,6 +209,61 @@ func TestParallelEquivalenceManyCore(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelObservedRunsEpochs pins that a counter-only observer keeps
+// a machine on the epoch driver: on the straggler kernel (four cores
+// already commit epochs) an observed Run at Workers=1 and Workers=2 must
+// commit epoch cycles, and still tally exactly the events and produce
+// exactly the stats of an observed naive run. Events raised inside an
+// epoch reach the observer only when it commits, on the driver
+// goroutine; the Run side's observer is deliberately unsynchronized, so
+// under -race this also certifies it is never called from two workers
+// at once.
+func TestParallelObservedRunsEpochs(t *testing.T) {
+	for _, mode := range []kernels.FenceMode{kernels.Traditional, kernels.Scoped} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := kernels.Options{Mode: mode, Threads: 4, Ops: 1, Workload: 1}
+			cfg := machine.DefaultConfig()
+			cfg.Cores = 4
+
+			_, mN := buildKernelMachine(t, "scale-imb", opts, cfg)
+			obsN := trace.NewCountingObserver()
+			trace.AttachObserver(mN, obsN)
+			nc := naiveRun(t, mN)
+
+			var mRef *machine.Machine
+			var refCyc int64
+			for _, w := range []int{1, 2} {
+				name := fmt.Sprintf("%v/workers=%d", mode, w)
+				cfg.Parallel.Workers = w
+				_, m := buildKernelMachine(t, "scale-imb", opts, cfg)
+				obs := tallyObserver{}
+				trace.AttachObserver(m, obs)
+				cyc, err := m.Run(context.Background())
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if cs := m.Clock(); cs.EpochCycles == 0 {
+					t.Errorf("%s: observed run committed no epoch cycles: %+v", name, cs)
+				}
+				assertMachinesEqual(t, name, mN, m, nc, cyc)
+				if ne, ee := obsN.Counts(), map[cpu.TraceEvent]uint64(obs); !reflect.DeepEqual(ne, ee) {
+					t.Errorf("%s: observer tallies diverged from the naive run:\nnaive %v\nrun   %v", name, ne, ee)
+				}
+				if mRef == nil {
+					mRef, refCyc = m, cyc
+				} else {
+					assertWorkersEqual(t, name, mRef, m, refCyc, cyc)
+				}
+			}
+		})
+	}
+}
+
+// tallyObserver counts observer events with no locking at all.
+type tallyObserver map[cpu.TraceEvent]uint64
+
+func (o tallyObserver) Observe(_ int, event uint8, n uint64) { o[cpu.TraceEvent(event)] += n }
 
 // TestParallelTracedFallsBack pins the sequential fallback: a traced
 // machine must never attempt an epoch, whatever Workers says.
