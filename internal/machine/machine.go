@@ -379,20 +379,23 @@ func (m *Machine) traced() bool {
 	return false
 }
 
-// ctxCheckInterval bounds how many cycle-loop iterations Run executes
-// between context checks. A channel poll per cycle would slow the hot
-// loop measurably; a poll every few thousand iterations keeps the
-// overhead unmeasurable while still reacting to cancellation within
-// microseconds of wall-clock time.
+// ctxCheckInterval bounds how many core-cycles (loop iterations times
+// cores, since each iteration steps or scans every core) the sequential
+// loop executes between context checks. A channel poll per cycle would
+// slow the hot loop measurably; a poll every few thousand core-cycles
+// keeps the overhead unmeasurable while still reacting to cancellation
+// within a millisecond of wall-clock time on a machine of any width.
 const ctxCheckInterval = 4096
 
 // Run executes until every core is done, a core faults, the context is
 // cancelled, or the cycle budget is exhausted. It returns the total cycle
 // count. A cancelled or expired context makes Run return promptly with
-// ctx.Err() (checked every ctxCheckInterval loop iterations, so a
+// ctx.Err() (checked every ctxCheckInterval core-cycles on the
+// sequential loop and after every slice inside an epoch, so a
 // simulation can be time-boxed with context.WithTimeout or aborted with
 // context.WithCancel mid-cycle-loop); the machine is left at the cycle it
-// reached and is safe to inspect, but not to resume.
+// reached, in exactly the state per-cycle stepping has there, and is
+// safe to inspect, but not to resume.
 //
 // Run sends every untraced machine, observed ones included, through the
 // epoch driver (runParallel): optimistic epochs in which each core runs
@@ -443,8 +446,9 @@ func (m *Machine) runSeq(ctx context.Context, limit, until int64) (bool, error) 
 	done := ctx.Done()
 	traced := m.traced()
 	untilCheck := ctxCheckInterval
+	width := len(m.cores)
 	for {
-		if untilCheck--; untilCheck <= 0 {
+		if untilCheck -= width; untilCheck <= 0 {
 			untilCheck = ctxCheckInterval
 			select {
 			case <-done:

@@ -87,7 +87,7 @@ type epochResult struct {
 // workers step cores slice by slice, so a core's in-epoch loop state
 // lives here between slices.
 type coreCursor struct {
-	cur      int64 // next cycle to execute (the core's own clock trails by one)
+	cur      int64 // next cycle to execute (the core's own clock trails by one); where it stopped once finished
 	begun    bool  // EpochBegin ran: the core must be committed or aborted
 	finished bool  // res is final; no further slices
 	res      epochResult
@@ -153,8 +153,13 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 		// is checkpointed in the first slice, even on a doomed attempt,
 		// so an abort restores every core alike whichever worker got how
 		// far.
+		//
+		// Workers poll ctx after every slice and stop on a cancellation;
+		// the attempt is then cut short (below), so Run returns after
+		// about one slice of work instead of a whole epoch.
 		var abortMark atomic.Int64
 		abortMark.Store(E)
+		var cancelled atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -171,10 +176,33 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 					if !live {
 						break
 					}
+					select {
+					case <-done:
+						cancelled.Store(true)
+						return
+					default:
+					}
 				}
 			}(w)
 		}
 		wg.Wait()
+		if cancelled.Load() {
+			// Cancelled mid-attempt: cut the attempt at the furthest cycle
+			// any core got to, bring every core there and make it the
+			// horizon. Up to the cut this is an ordinary epoch — it commits
+			// if no core blocked before it — and the loop's next context
+			// check returns.
+			C := T
+			for i := range cursors {
+				if cursors[i].begun {
+					C = max(C, cursors[i].cur)
+				}
+			}
+			for i := range m.cores {
+				m.runCoreEpochSlice(i, T, C, C, &cursors[i], &states[i], &abortMark)
+			}
+			E = C
+		}
 
 		blockedAt := int64(-1)
 		allDone := true
@@ -201,13 +229,7 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 			// blockedAt is the exact cycle of the earliest cross-core
 			// interaction — before it, every core ran purely locally,
 			// i.e. exactly its sequential trajectory.
-			for i := range m.cores {
-				if cursors[i].begun {
-					m.cores[i].EpochAbort(&states[i])
-				}
-				cursors[i] = coreCursor{}
-			}
-			m.clock.EpochFails++
+			m.abortEpoch(states, cursors)
 			if gap := blockedAt - T; gap >= 2*epochMin {
 				// Long purely-local prefix. Before the earliest blockedAt
 				// every core ran purely locally, and per-core epoch
@@ -260,6 +282,18 @@ func (m *Machine) runParallel(ctx context.Context, limit int64) (int64, error) {
 		}
 		knownBlock = -1
 	}
+}
+
+// abortEpoch rolls every core checkpointed in the current attempt back
+// to its checkpoint and counts the attempt as failed.
+func (m *Machine) abortEpoch(states []cpu.EpochState, cursors []coreCursor) {
+	for i := range m.cores {
+		if cursors[i].begun {
+			m.cores[i].EpochAbort(&states[i])
+		}
+		cursors[i] = coreCursor{}
+	}
+	m.clock.EpochFails++
 }
 
 // epochSafe reports the transient epoch precondition: no load anywhere
@@ -335,6 +369,7 @@ func (m *Machine) runCoreEpochSlice(i int, from, hi, to int64, cc *coreCursor, s
 		if markCheck--; markCheck <= 0 {
 			markCheck = epochMarkInterval
 			if cur >= abortMark.Load() {
+				cc.cur = cur
 				cc.res = epochResult{doneAt: -1}
 				cc.finished = true
 				return false
@@ -357,11 +392,13 @@ func (m *Machine) runCoreEpochSlice(i int, from, hi, to int64, cc *coreCursor, s
 					break
 				}
 			}
+			cc.cur = cur
 			cc.res = epochResult{blocked: true, blockedAt: cur - 1}
 			cc.finished = true
 			return false
 		}
 		if c.Done() {
+			cc.cur = cur
 			cc.res = epochResult{doneAt: cur - 1}
 			cc.finished = true
 			return false

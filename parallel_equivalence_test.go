@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"sfence/internal/cpu"
 	"sfence/internal/isa"
@@ -257,6 +258,58 @@ func TestParallelObservedRunsEpochs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelCancelManyCore pins prompt cancellation on a wide machine.
+// On the 256-core straggler kernel a single epoch attempt steps every
+// core up to the horizon, which takes hundreds of milliseconds, so the
+// workers must notice a cancellation between cores rather than only
+// between attempts, and the sequential leg must poll per core-cycle
+// rather than per machine cycle. Cancels are fired at a few delays so
+// they land in epochs and in sequential legs; each must end Run with
+// context.Canceled well within one attempt's running time (a few
+// milliseconds is typical; an attempt runs 200-600 ms on a 2-vCPU host),
+// and leave the machine exactly where per-cycle stepping would be at the
+// cycle it reports.
+func TestParallelCancelManyCore(t *testing.T) {
+	const cores = 256
+	for _, w := range []int{1, 2} {
+		for _, delay := range []time.Duration{100 * time.Millisecond, 300 * time.Millisecond} {
+			name := fmt.Sprintf("workers=%d/after=%v", w, delay)
+			opts := kernels.Options{Mode: kernels.Traditional, Threads: cores, Ops: 40, Workload: 1}
+			cfg := machine.DefaultConfig()
+			cfg.Cores = cores
+			cfg.Parallel.Workers = w
+			_, m := buildKernelMachine(t, "scale-imb", opts, cfg)
+			ctx, cancel := context.WithCancel(context.Background())
+			fired := make(chan time.Time, 1)
+			timer := time.AfterFunc(delay, func() {
+				fired <- time.Now()
+				cancel()
+			})
+			cyc, err := m.Run(ctx)
+			returned := time.Now()
+			timer.Stop()
+			cancel()
+			if err != context.Canceled {
+				t.Fatalf("%s: Run returned %v, want context.Canceled", name, err)
+			}
+			if lag := returned.Sub(<-fired); lag > 250*time.Millisecond {
+				t.Errorf("%s: Run returned %v after the cancel", name, lag)
+			}
+			if cyc != m.Cycle() {
+				t.Errorf("%s: cancelled Run reported %d cycles, machine at %d", name, cyc, m.Cycle())
+			}
+			// Wherever the cancel landed, the machine stopped in a state
+			// per-cycle stepping passes through.
+			_, mN := buildKernelMachine(t, "scale-imb", opts, cfg)
+			for mN.Cycle() < cyc {
+				mN.Step()
+			}
+			assertMachinesEqual(t, name, mN, m, mN.Cycle(), cyc)
+			assertClockAccounting(t, m, cyc)
+		}
 	}
 }
 
