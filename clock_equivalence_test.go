@@ -11,6 +11,7 @@ package sfence_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -44,15 +45,16 @@ func naiveRun(t *testing.T, m *machine.Machine) int64 {
 	return m.Cycle()
 }
 
+// imageHash hashes the image's non-zero (addr, val) pairs in address
+// order, so it does not depend on which pages happen to be present.
 func imageHash(m *machine.Machine) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
-	for _, w := range m.Image().Snapshot() {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(w >> (8 * i))
-		}
+	var buf [16]byte
+	m.Image().Range(func(addr, val int64) {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(addr))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(val))
 		h.Write(buf[:])
-	}
+	})
 	return h.Sum64()
 }
 

@@ -39,7 +39,7 @@ type Config struct {
 	Cores     int
 	Core      cpu.Config
 	Mem       memsys.Config
-	ImageSize int64 // bytes of simulated physical memory
+	ImageSize int64 // bytes of simulated address space; pages are allocated on first store
 	// MaxCycles aborts Run when exceeded (0 means the DefaultMaxCycles
 	// safety net).
 	MaxCycles int64
@@ -106,6 +106,10 @@ type Machine struct {
 
 	reg   *stats.Registry
 	clock ClockStats
+
+	// afterEpochAbort, when set (only tests set it), runs on Run's
+	// goroutine after every aborted epoch has been rolled back.
+	afterEpochAbort func()
 }
 
 // ClockStats reports how the two-speed clock spent a Run: SlowTicks is the

@@ -294,6 +294,9 @@ func (m *Machine) abortEpoch(states []cpu.EpochState, cursors []coreCursor) {
 		cursors[i] = coreCursor{}
 	}
 	m.clock.EpochFails++
+	if m.afterEpochAbort != nil {
+		m.afterEpochAbort()
+	}
 }
 
 // epochSafe reports the transient epoch precondition: no load anywhere

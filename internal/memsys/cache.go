@@ -166,11 +166,11 @@ type l1Cache struct {
 // levels use just tag/valid/dirty/lru.
 type tagLine struct {
 	tag     int64
-	valid   bool
-	dirty   bool
+	lru     uint64
 	sharers sharerSet // cores with a private copy (S/E/M)
 	owner   int16     // core index holding E/M, or -1
-	lru     uint64
+	valid   bool
+	dirty   bool
 }
 
 // reset re-points the line at tag with empty directory state, keeping

@@ -1,7 +1,7 @@
-// Package memsys models the simulated memory system: a word-addressable
-// memory image holding architectural values, and a configurable N-level
-// cache hierarchy with MESI-style invalidation that supplies access
-// latencies.
+// Package memsys models the simulated memory system: a paged,
+// word-addressable memory image holding architectural values, and a
+// configurable N-level cache hierarchy with MESI-style invalidation that
+// supplies access latencies.
 //
 // # Timing-directed split
 //
@@ -12,6 +12,14 @@
 // reproducing the latency structure of the paper's SESC configuration
 // (Table III). Because no data flows through the caches, the Hierarchy is
 // purely tag, LRU, and directory state.
+//
+// # Paged image
+//
+// The Image's size is its address space, not an allocation: it keeps one
+// directory slot per 4 KiB page and allocates a page on the first
+// non-zero store into it. Absent pages read 0, so loads (wrong-path ones
+// included) never allocate. Concurrent stores to distinct words are
+// safe, first touches of one page included (see Image).
 //
 // # Hierarchy shape
 //

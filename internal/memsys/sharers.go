@@ -17,9 +17,34 @@ const MaxCores = 4096
 // allocation-free. Iteration and population count are O(sharers), not
 // O(cores): the common case of a line shared by a handful of cores in a
 // 256-core machine touches a handful of set bits.
+//
+// The extension sits behind a pointer so a line's directory entry stays
+// two words: the outermost level holds one per line (16384 in the
+// default 1 MB L2), and every machine allocates them up front.
 type sharerSet struct {
-	low uint64   // cores 0..63
-	ext []uint64 // cores 64..; word i covers cores 64(i+1)..64(i+2)-1
+	low uint64    // cores 0..63
+	ext *[]uint64 // cores 64..; word i covers cores 64(i+1)..64(i+2)-1; nil until needed
+}
+
+// words returns the extension words (nil for a set that never held a
+// core above 63).
+func (s *sharerSet) words() []uint64 {
+	if s.ext == nil {
+		return nil
+	}
+	return *s.ext
+}
+
+// grow makes the extension at least n words long.
+func (s *sharerSet) grow(n int) []uint64 {
+	old := s.words()
+	if n > len(old) {
+		ext := make([]uint64, n)
+		copy(ext, old)
+		s.ext = &ext
+		return ext
+	}
+	return old
 }
 
 // add inserts core into the set.
@@ -29,12 +54,7 @@ func (s *sharerSet) add(core int) {
 		return
 	}
 	w := core/64 - 1
-	if w >= len(s.ext) {
-		ext := make([]uint64, w+1)
-		copy(ext, s.ext)
-		s.ext = ext
-	}
-	s.ext[w] |= 1 << uint(core%64)
+	s.grow(w + 1)[w] |= 1 << uint(core%64)
 }
 
 // contains reports membership.
@@ -43,15 +63,14 @@ func (s *sharerSet) contains(core int) bool {
 		return s.low&(1<<uint(core)) != 0
 	}
 	w := core/64 - 1
-	return w < len(s.ext) && s.ext[w]&(1<<uint(core%64)) != 0
+	ext := s.words()
+	return w < len(ext) && ext[w]&(1<<uint(core%64)) != 0
 }
 
 // clear empties the set, keeping any extended pages for reuse.
 func (s *sharerSet) clear() {
 	s.low = 0
-	for i := range s.ext {
-		s.ext[i] = 0
-	}
+	clear(s.words())
 }
 
 // only resets the set to exactly {core}.
@@ -69,7 +88,7 @@ func (s *sharerSet) lone(core int) bool {
 	} else if s.low != 0 {
 		return false
 	}
-	for i, w := range s.ext {
+	for i, w := range s.words() {
 		switch {
 		case core >= 64 && i == core/64-1:
 			if w != 1<<uint(core%64) {
@@ -91,7 +110,7 @@ func (s *sharerSet) anyBesides(core int) bool {
 	if low != 0 {
 		return true
 	}
-	for i, w := range s.ext {
+	for i, w := range s.words() {
 		if core >= 64 && i == core/64-1 {
 			w &^= 1 << uint(core%64)
 		}
@@ -111,17 +130,15 @@ func (s *sharerSet) fill(n int) {
 	} else {
 		s.low = 1<<uint(n) - 1
 	}
+	if n <= 64 {
+		return
+	}
+	ext := s.grow((n+63)/64 - 1)
 	for c := 64; c < n; c += 64 {
-		w := c/64 - 1
-		if w >= len(s.ext) {
-			ext := make([]uint64, (n+63)/64-1)
-			copy(ext, s.ext)
-			s.ext = ext
-		}
 		if rem := n - c; rem >= 64 {
-			s.ext[w] = ^uint64(0)
+			ext[c/64-1] = ^uint64(0)
 		} else {
-			s.ext[w] = 1<<uint(rem) - 1
+			ext[c/64-1] = 1<<uint(rem) - 1
 		}
 	}
 }
@@ -133,7 +150,7 @@ func (s *sharerSet) forEach(f func(core int)) {
 	for w := s.low; w != 0; w &= w - 1 {
 		f(bits.TrailingZeros64(w))
 	}
-	for i, ew := range s.ext {
+	for i, ew := range s.words() {
 		base := 64 * (i + 1)
 		for w := ew; w != 0; w &= w - 1 {
 			f(base + bits.TrailingZeros64(w))
@@ -151,8 +168,8 @@ func (s *sharerSet) members() []int {
 // clone returns an independent copy (directory snapshots for tests).
 func (s *sharerSet) clone() sharerSet {
 	c := sharerSet{low: s.low}
-	if len(s.ext) > 0 {
-		c.ext = append([]uint64(nil), s.ext...)
+	if ext := s.words(); len(ext) > 0 {
+		copy(c.grow(len(ext)), ext)
 	}
 	return c
 }

@@ -142,17 +142,41 @@ func bitIdentical(label string, naive, event *machine.Machine, nc, ec int64) err
 			}
 		}
 	}
-	ni, ei := naive.Image().Snapshot(), event.Image().Snapshot()
-	if len(ni) != len(ei) {
-		return fmt.Errorf("%s: image sizes diverged: %d vs %d words", label, len(ni), len(ei))
-	}
-	for w := range ni {
-		if ni[w] != ei[w] {
-			return fmt.Errorf("%s: image word %d (addr %d) diverged: naive %d, event %d",
-				label, w, 8*w, ni[w], ei[w])
-		}
+	if addr, nv, ev, ok := firstImageDiff(naive.Image(), event.Image()); ok {
+		return fmt.Errorf("%s: image word %d (addr %d) diverged: naive %d, event %d",
+			label, addr/memsys.WordBytes, addr, nv, ev)
 	}
 	return nil
+}
+
+// imageWord is one non-zero word of an Image, as Image.Range visits it.
+type imageWord struct{ addr, val int64 }
+
+func nonZeroWords(im *memsys.Image) []imageWord {
+	var ws []imageWord
+	im.Range(func(addr, val int64) { ws = append(ws, imageWord{addr, val}) })
+	return ws
+}
+
+// firstImageDiff merges the address-ordered non-zero words of two
+// images and reports the lowest address whose value differs (an absent
+// word reads 0).
+func firstImageDiff(a, b *memsys.Image) (addr, va, vb int64, differ bool) {
+	wa, wb := nonZeroWords(a), nonZeroWords(b)
+	i, j := 0, 0
+	for i < len(wa) || j < len(wb) {
+		switch {
+		case j == len(wb) || i < len(wa) && wa[i].addr < wb[j].addr:
+			return wa[i].addr, wa[i].val, 0, true
+		case i == len(wa) || wb[j].addr < wa[i].addr:
+			return wb[j].addr, 0, wb[j].val, true
+		case wa[i].val != wb[j].val:
+			return wa[i].addr, wa[i].val, wb[j].val, true
+		}
+		i++
+		j++
+	}
+	return 0, 0, 0, false
 }
 
 // checkClock checks a Run's clock accounting: slow ticks, fast-forwarded
